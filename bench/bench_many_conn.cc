@@ -21,7 +21,6 @@
 //                deterministic KPIs (no wall-clock fields) — the ci.sh
 //                scale stage diffs this output across --jobs values
 //   --multipath  (smoke mode) use 2-path MPQUIC for the smoke cell
-//   --no-batch   disable server batch dispatch (A/B the OpenN path)
 //   --seed S     (smoke mode) workload master seed
 //   --metrics F  (smoke mode) also write per-flow NDJSON rows to F,
 //                readable with `mpq_trace --aggregate F`
@@ -57,9 +56,6 @@ using Clock = std::chrono::steady_clock;
 // gate compares *measured* numbers across BENCH files, this is only
 // context for human readers.
 constexpr double kBaselineEnginePacketsPerSec = 86030.0;
-
-// --no-batch: run the server without batch dispatch (A/B comparisons).
-bool g_no_batch = false;
 
 double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -157,10 +153,6 @@ harness::WorkloadOptions CellOptions(std::uint32_t connections,
   options.shards = connections >= 8 ? 8 : 1;
   options.jobs = jobs;
   options.seed = seed;
-  // The engine bench runs the server with batch dispatch: same-instant
-  // datagram runs hit crypto::OpenN and one send-loop pass (the figure
-  // benches stay unbatched — their event stream is the seed baseline).
-  options.batch_dispatch = !g_no_batch;
   return options;
 }
 
@@ -231,8 +223,6 @@ int main(int argc, char** argv) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--smoke") == 0 && i + 1 < argc) {
       smoke = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--no-batch") == 0) {
-      g_no_batch = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return 2;

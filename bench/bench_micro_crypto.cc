@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the crypto substrate: ChaCha20
 // keystream/XOR throughput, SipHash-2-4, the packet-protection seal/open
-// path at MTU size (per SIMD dispatch level), the batched SealN path,
-// and the handshake key schedule.
+// path at MTU size (per SIMD dispatch level), and the handshake key
+// schedule.
 //
 //   --selftest   print a deterministic digest of seal/open/ChaCha20
 //                outputs over a length/path/pn sweep and exit. The
@@ -81,22 +81,6 @@ int RunSelftest() {
     std::printf("len=%zu chacha=%016llx seal=%016llx\n", len,
                 static_cast<unsigned long long>(cipher_digest),
                 static_cast<unsigned long long>(seal_digest));
-  }
-  // Batched seal digest: 32 MTU packets through one SealN call.
-  {
-    std::vector<std::vector<std::uint8_t>> bufs;
-    std::vector<SealRequest> requests;
-    static std::uint8_t aad[14] = {9, 8, 7, 6, 5, 4, 3, 2, 1};
-    for (std::size_t i = 0; i < 32; ++i) {
-      bufs.emplace_back(1300 + kAeadTagSize,
-                        static_cast<std::uint8_t>(i * 11 + 1));
-      requests.push_back(SealRequest{PathId{static_cast<std::uint32_t>(i)},
-                                     PacketNumber{i + 1}, aad, bufs.back()});
-    }
-    protection.SealN(requests);
-    std::uint64_t digest = 0;
-    for (const auto& buf : bufs) digest ^= SipHash24(digest_key, buf);
-    std::printf("sealn32=%016llx\n", static_cast<unsigned long long>(digest));
   }
   // The level goes to stderr so stdout stays comparable across builds.
   std::fprintf(stderr, "active SIMD level: %s\n",
@@ -181,28 +165,6 @@ void BM_OpenMtuPacketLevel(benchmark::State& state) {
   ForceSimdLevel(MaxSimdLevel());
 }
 BENCHMARK(BM_OpenMtuPacketLevel)->Arg(0)->Arg(1)->Arg(2);
-
-/// The burst path: 32 MTU packets per SealN call (what a retransmission
-/// storm or a saturated send loop hands the crypto layer).
-void BM_SealBurst32(benchmark::State& state) {
-  PacketProtection protection(TestKey());
-  std::vector<std::vector<std::uint8_t>> bufs(32);
-  for (auto& buf : bufs) buf.assign(1300 + kAeadTagSize, 0x42);
-  static const std::uint8_t aad[14] = {};
-  std::vector<SealRequest> requests;
-  std::uint64_t pn = 1;
-  for (auto _ : state) {
-    requests.clear();
-    for (auto& buf : bufs) {
-      requests.push_back(
-          SealRequest{PathId{1}, PacketNumber{pn++}, aad, buf});
-    }
-    protection.SealN(requests);
-    benchmark::DoNotOptimize(bufs.data());
-  }
-  state.SetBytesProcessed(state.iterations() * 32 * 1300);
-}
-BENCHMARK(BM_SealBurst32);
 
 void BM_SessionKeyDerivation(benchmark::State& state) {
   const std::uint8_t client_nonce[16] = {1};

@@ -15,8 +15,10 @@ namespace {
 constexpr std::size_t kFuseChunk = 1024;
 static_assert(kFuseChunk % kChaChaBlockSize == 0);
 
-/// Absorb the authenticated prefix `nonce | aad_len | aad` (the framing
-/// Tag() documents; the fused seal/open walks append the ciphertext).
+/// Absorb the authenticated prefix of the tag's unambiguous framing
+/// `nonce | aad_len | aad | ciphertext`: aad_len is 8 bytes little-endian,
+/// and the fused seal/open walks append the ciphertext chunk by chunk, so
+/// no per-packet material buffer is built.
 void AbsorbTagPrefix(SipHashState& state, const ChaChaNonce& nonce,
                      std::span<const std::uint8_t> aad) {
   state.Absorb(nonce);
@@ -88,20 +90,9 @@ ChaChaNonce PacketProtection::MakeNonce(PathId path, PacketNumber pn) const {
   return nonce;
 }
 
-std::uint64_t PacketProtection::Tag(
-    const ChaChaNonce& nonce, std::span<const std::uint8_t> aad,
-    std::span<const std::uint8_t> ciphertext) const {
-  // Unambiguous framing: nonce | aad_len | aad | ciphertext, absorbed
-  // incrementally — no per-packet material buffer.
-  SipHashState state(tag_key_);
-  AbsorbTagPrefix(state, nonce, aad);
-  state.Absorb(ciphertext);
-  return state.Finalize();
-}
-
-void PacketProtection::SealOne(PathId path, PacketNumber pn,
-                               std::span<const std::uint8_t> aad,
-                               std::span<std::uint8_t> buf) const {
+void PacketProtection::SealInPlace(PathId path, PacketNumber pn,
+                                   std::span<const std::uint8_t> aad,
+                                   std::span<std::uint8_t> buf) const {
   MPQ_PROF_SCOPE("crypto/seal");
   const ChaChaNonce nonce = MakeNonce(path, pn);
   const std::span<std::uint8_t> text = buf.first(buf.size() - kAeadTagSize);
@@ -124,10 +115,10 @@ void PacketProtection::SealOne(PathId path, PacketNumber pn,
   WriteTagLe(buf.data() + text.size(), tag_state.Finalize());
 }
 
-bool PacketProtection::OpenOne(PathId path, PacketNumber pn,
-                               std::span<const std::uint8_t> aad,
-                               std::span<std::uint8_t> buf,
-                               std::size_t& plaintext_len) const {
+bool PacketProtection::OpenInPlace(PathId path, PacketNumber pn,
+                                   std::span<const std::uint8_t> aad,
+                                   std::span<std::uint8_t> buf,
+                                   std::size_t& plaintext_len) const {
   MPQ_PROF_SCOPE("crypto/open");
   if (buf.size() < kAeadTagSize) return false;
   const std::span<std::uint8_t> ciphertext =
@@ -173,12 +164,6 @@ std::vector<std::uint8_t> PacketProtection::Seal(
   return out;
 }
 
-void PacketProtection::SealInPlace(PathId path, PacketNumber pn,
-                                   std::span<const std::uint8_t> aad,
-                                   std::span<std::uint8_t> buf) const {
-  SealOne(path, pn, aad, buf);
-}
-
 bool PacketProtection::Open(PathId path, PacketNumber pn,
                             std::span<const std::uint8_t> aad,
                             std::span<const std::uint8_t> sealed,
@@ -190,38 +175,16 @@ bool PacketProtection::Open(PathId path, PacketNumber pn,
   // contents are unspecified then — holds the restored ciphertext).
   out.assign(sealed.begin(), sealed.end());
   std::size_t plaintext_len = 0;
-  if (!OpenOne(path, pn, aad, out, plaintext_len)) return false;
+  if (!OpenInPlace(path, pn, aad, out, plaintext_len)) return false;
   out.resize(plaintext_len);
   return true;
-}
-
-bool PacketProtection::OpenInPlace(PathId path, PacketNumber pn,
-                                   std::span<const std::uint8_t> aad,
-                                   std::span<std::uint8_t> buf,
-                                   std::size_t& plaintext_len) const {
-  return OpenOne(path, pn, aad, buf, plaintext_len);
-}
-
-void PacketProtection::SealN(std::span<SealRequest> requests) const {
-  for (SealRequest& req : requests) {
-    // The per-packet profiler scope lives inside SealOne, so span names
-    // and counts match the unbatched path packet for packet.
-    SealOne(req.path, req.pn, req.aad, req.buf);
-  }
-}
-
-void PacketProtection::OpenN(std::span<OpenRequest> requests) const {
-  for (OpenRequest& req : requests) {
-    req.plaintext_len = 0;
-    req.ok = OpenOne(req.path, req.pn, req.aad, req.buf, req.plaintext_len);
-  }
 }
 
 SessionKeys DeriveSessionKeys(
     std::span<const std::uint8_t> client_nonce,
     std::span<const std::uint8_t> server_nonce,
     std::span<const std::uint8_t> server_config_secret) {
-  // Length-prefix each field (8 bytes little-endian, like Tag() frames
+  // Length-prefix each field (8 bytes little-endian, like the tag frames
   // the AAD) so distinct (client_nonce, server_nonce, secret) splits of
   // the same concatenated bytes can never alias into one master secret.
   std::vector<std::uint8_t> master;

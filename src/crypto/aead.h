@@ -17,8 +17,8 @@
 // Hot-path shape: seal and open walk each packet buffer once — the
 // ChaCha20 XOR (SIMD multi-block, crypto/cpu.h) and the SipHash tag
 // absorb are fused chunk by chunk so the ciphertext is hashed while it
-// is still cache-hot. SealN/OpenN batch N packets per call for the
-// burst-oriented datapath (quic/assembler.h, quic/server.h).
+// is still cache-hot. Every packet is sealed and opened on its own: the
+// nonce is per (path, packet number), so nothing is shared across packets.
 #pragma once
 
 #include <array>
@@ -40,31 +40,6 @@ inline constexpr std::size_t kAeadTagSize = 8;
 /// counter mode, keyed by the first half of the secret).
 std::array<std::uint8_t, 32> Kdf32(std::span<const std::uint8_t> secret,
                                    std::string_view label);
-
-/// One packet of a SealN batch: on entry the first
-/// `buf.size() - kAeadTagSize` bytes hold the plaintext; on return they
-/// hold the ciphertext and the last kAeadTagSize bytes the tag.
-/// Identical semantics to SealInPlace. `buf` must not overlap `aad`.
-struct SealRequest {
-  PathId path{};
-  PacketNumber pn{};
-  std::span<const std::uint8_t> aad;
-  std::span<std::uint8_t> buf;
-};
-
-/// One packet of an OpenN batch: `buf` holds ciphertext | tag. On
-/// success `ok` is true, the ciphertext is decrypted in place and
-/// `plaintext_len` receives buf.size() - kAeadTagSize; on failure `ok`
-/// is false and `buf` is left exactly as passed (same contract as
-/// OpenInPlace).
-struct OpenRequest {
-  PathId path{};
-  PacketNumber pn{};
-  std::span<const std::uint8_t> aad;
-  std::span<std::uint8_t> buf;
-  std::size_t plaintext_len = 0;
-  bool ok = false;
-};
 
 /// One direction of packet protection.
 class PacketProtection {
@@ -108,26 +83,8 @@ class PacketProtection {
                    std::span<std::uint8_t> buf,
                    std::size_t& plaintext_len) const;
 
-  /// Batched seal: seal every request in order, equivalent to calling
-  /// SealInPlace per entry. One call per transmit burst amortizes the
-  /// dispatch overhead across the burst (quic/assembler.h).
-  void SealN(std::span<SealRequest> requests) const;
-
-  /// Batched open: open every request in order, equivalent to calling
-  /// OpenInPlace per entry; per-packet verdicts land in OpenRequest::ok.
-  void OpenN(std::span<OpenRequest> requests) const;
-
  private:
   ChaChaNonce MakeNonce(PathId path, PacketNumber pn) const;
-  std::uint64_t Tag(const ChaChaNonce& nonce,
-                    std::span<const std::uint8_t> aad,
-                    std::span<const std::uint8_t> ciphertext) const;
-  void SealOne(PathId path, PacketNumber pn,
-               std::span<const std::uint8_t> aad,
-               std::span<std::uint8_t> buf) const;
-  bool OpenOne(PathId path, PacketNumber pn,
-               std::span<const std::uint8_t> aad, std::span<std::uint8_t> buf,
-               std::size_t& plaintext_len) const;
 
   ChaChaKey cipher_key_;
   SipHashKey tag_key_;

@@ -78,7 +78,6 @@ ShardOutcome RunShard(const WorkloadOptions& options,
   quic::Server server(sim, net, server_locals, config,
                       Mix(options.seed, 0x5E44E4 + shard_index), shard_index,
                       options.shards);
-  server.SetBatchDispatch(options.batch_dispatch);
   server.SetAcceptHandler([](quic::Connection& conn) {
     auto request = std::make_shared<std::string>();
     conn.SetStreamDataHandler([&conn, request](

@@ -54,11 +54,6 @@ struct WorkloadOptions {
   /// Single-path QUIC vs two-path MPQUIC.
   bool multipath = false;
   cc::Algorithm multipath_congestion = cc::Algorithm::kOlia;
-  /// Server-side batch dispatch (quic::Server::SetBatchDispatch):
-  /// same-instant datagram runs decrypt via one crypto::OpenN call.
-  /// Deterministic for a given value, but the event stream differs from
-  /// unbatched mode, so it defaults off and benches opt in.
-  bool batch_dispatch = false;
   /// Per-client access (uplink) capacity.
   double access_capacity_mbps = 100.0;
   /// Capacity of each shared server downlink — the bottleneck all of a

@@ -58,42 +58,9 @@ void PacketAssembler::RegisterPath(Path& path) {
 }
 
 void PacketAssembler::OnConnectionClosed() {
-  // Flush any burst in flight first: its packets are already tracked as
-  // sent (recovery would wait on them forever if they never hit the
-  // wire). The close frame itself transmits before this, outside bursts.
-  FlushBurst();
   closed_ = true;
   for (auto& [id, state] : paths_) state.ack_timer->Cancel();
   if (pace_timer_) pace_timer_->Cancel();
-}
-
-void PacketAssembler::BeginBurst() { ++burst_depth_; }
-
-void PacketAssembler::EndBurst() {
-  if (burst_depth_ > 0 && --burst_depth_ == 0) FlushBurst();
-}
-
-void PacketAssembler::FlushBurst() {
-  if (burst_pending_.empty()) return;
-  // Batched seal: one crypto call for the whole burst. Requests alias the
-  // pending payload buffers, so the seal happens in place.
-  std::vector<crypto::SealRequest>& requests = burst_seal_requests_;
-  requests.clear();
-  requests.reserve(burst_pending_.size());
-  for (PendingDatagram& pending : burst_pending_) {
-    crypto::SealRequest req;
-    req.path = pending.seal_path;
-    req.pn = pending.pn;
-    const std::span<std::uint8_t> buf(pending.payload);
-    req.aad = buf.subspan(0, pending.header_size);
-    req.buf = buf.subspan(pending.header_size);
-    requests.push_back(req);
-  }
-  seal_->SealN(requests);
-  for (PendingDatagram& pending : burst_pending_) {
-    send_(pending.local, pending.remote, std::move(pending.payload));
-  }
-  burst_pending_.clear();
 }
 
 AckFrame PacketAssembler::BuildAck(PathSendState& state) {
@@ -262,7 +229,6 @@ bool PacketAssembler::SendOnePacket(
     // concurrent objects progress together instead of serially.
     auto it = send_streams_.upper_bound(next_stream_to_serve_);
     if (it == send_streams_.end()) it = send_streams_.begin();
-    const StreamId first_served = it->first;
     bool any_progress = true;
     while (budget > kStreamFrameOverhead && any_progress) {
       any_progress = false;
@@ -290,7 +256,6 @@ bool PacketAssembler::SendOnePacket(
         frames.emplace_back(std::move(frame));
       }
     }
-    (void)first_served;
   }
 
   if (frames.empty()) return false;
@@ -332,16 +297,13 @@ void PacketAssembler::TransmitPacket(Path& path, std::vector<Frame>& frames,
 
   for (const Frame& frame : frames) EncodeFrame(frame, writer);
 
-  const bool defer_seal = !handshake_cleartext && burst_depth_ > 0;
   if (!handshake_cleartext) {
     assert(seal_ != nullptr);
     writer.WriteZeroes(crypto::kAeadTagSize);  // tag slot
-    if (!defer_seal) {
-      const std::span<std::uint8_t> buf = writer.mutable_span();
-      seal_->SealInPlace(header.multipath ? header.path_id : PathId{0},
-                         header.packet_number, buf.subspan(0, header_size),
-                         buf.subspan(header_size));
-    }
+    const std::span<std::uint8_t> buf = writer.mutable_span();
+    seal_->SealInPlace(header.multipath ? header.path_id : PathId{0},
+                       header.packet_number, buf.subspan(0, header_size),
+                       buf.subspan(header_size));
   }
   assert(writer.size() <= config_.max_packet_size + 64);
   const std::size_t packet_size = writer.size();
@@ -363,21 +325,6 @@ void PacketAssembler::TransmitPacket(Path& path, std::vector<Frame>& frames,
   if (tracer_ != nullptr) {
     tracer_->OnPacketSent(sim_.now(), path.id(), header.packet_number,
                           ByteCount{packet_size}, retransmittable);
-  }
-  if (defer_seal) {
-    // Burst mode: tracking/pacing/stats above ran inline (the packet-fill
-    // loop reads them), only the seal + handoff wait for EndBurst's
-    // batched SealN. No simulated time passes inside a burst, so the
-    // datagrams reach the network at the same instant, in the same order.
-    PendingDatagram pending;
-    pending.local = path.local_address();
-    pending.remote = path.remote_address();
-    pending.payload = writer.Take();
-    pending.seal_path = header.multipath ? header.path_id : PathId{0};
-    pending.pn = header.packet_number;
-    pending.header_size = header_size;
-    burst_pending_.push_back(std::move(pending));
-    return;
   }
   send_(path.local_address(), path.remote_address(), writer.Take());
 }

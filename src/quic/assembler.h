@@ -82,17 +82,6 @@ class PacketAssembler {
   void TransmitPacket(Path& path, std::vector<Frame>& frames,
                       bool retransmittable, bool handshake_cleartext);
 
-  // -- transmit bursts ----------------------------------------------------
-  // Between BeginBurst and EndBurst, TransmitPacket runs everything except
-  // seal + datagram send inline (tracking, pacing, cwnd — the state the
-  // packet-fill loop reads) and defers the crypto: EndBurst seals every
-  // pending packet in one crypto::SealN call, then hands the datagrams to
-  // the send function in their original order. Brackets nest; the
-  // outermost EndBurst flushes. Connection::TrySend brackets its whole
-  // send loop, so retransmission storms and multi-packet fills amortize
-  // the per-call crypto dispatch overhead.
-  void BeginBurst();
-  void EndBurst();
   /// An ACK-eliciting packet arrived on `path`: send the ACK now (out of
   /// order, or enough unacked packets) or arm the delayed-ACK timer.
   void MaybeScheduleAck(Path& path, bool out_of_order);
@@ -153,22 +142,6 @@ class PacketAssembler {
   // Recycled per-packet scratch. The capacity survives across packets so
   // the steady-state datapath allocates only the outgoing datagram itself.
   std::vector<Frame> send_frames_scratch_;
-
-  /// One sealed-later packet of the current burst (see BeginBurst).
-  struct PendingDatagram {
-    sim::Address local;
-    sim::Address remote;
-    std::vector<std::uint8_t> payload;  // header | plaintext | tag slot
-    PathId seal_path{};                 // PathId{0} when not multipath
-    PacketNumber pn{};
-    std::size_t header_size = 0;
-  };
-  void FlushBurst();
-
-  int burst_depth_ = 0;
-  std::vector<PendingDatagram> burst_pending_;
-  /// Recycled SealN request array (capacity survives across bursts).
-  std::vector<crypto::SealRequest> burst_seal_requests_;
 };
 
 }  // namespace mpq::quic

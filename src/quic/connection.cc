@@ -407,7 +407,7 @@ void Connection::Close(std::uint16_t error_code, const std::string& reason) {
 // Receive (decrypt/parse/route live in quic/dispatch.h; these are the
 // composer-side effects the dispatcher triggers through DispatchDelegate)
 
-void Connection::OnDatagram(const sim::Datagram& datagram) {
+void Connection::OnDatagram(sim::Datagram& datagram) {
   if (closed_) return;
   AuditScope audit(*this);
   BufReader reader(datagram.payload);
@@ -424,45 +424,8 @@ void Connection::OnDatagram(const sim::Datagram& datagram) {
     TrySend();
     return;
   }
-  dispatcher_->OnEncryptedPacket(parsed, reader, datagram.payload, datagram);
+  dispatcher_->OnEncryptedPacket(parsed, datagram);
   TrySend();
-}
-
-void Connection::OnDatagramBatch(std::span<sim::Datagram> datagrams) {
-  if (closed_) return;
-  AuditScope audit(*this);
-  std::vector<FrameDispatcher::EncryptedPacketRef>& run = batch_packets_scratch_;
-  run.clear();
-  const auto flush_run = [&] {
-    if (run.empty()) return;
-    dispatcher_->OnEncryptedPacketBatch(run);
-    run.clear();
-  };
-  for (sim::Datagram& datagram : datagrams) {
-    if (closed_) break;
-    BufReader reader(datagram.payload);
-    ParsedHeader parsed;
-    if (!DecodeHeader(reader, parsed)) continue;
-    if (parsed.header.cid != cid_) continue;
-    ++stats_.packets_received;
-    if (idle_timer_) idle_timer_->SetIn(config_.idle_failure_timeout);
-    if (connection_idle_timer_) {
-      connection_idle_timer_->SetIn(config_.idle_timeout);
-    }
-    if (parsed.header.handshake) {
-      // Key installs must land before the packets behind them decrypt:
-      // drain the pending 1-RTT run, then process the handshake packet
-      // exactly as the unbatched path would.
-      flush_run();
-      handshake_->OnHandshakePacket(parsed, reader, datagram);
-      TrySend();
-      continue;
-    }
-    run.push_back(FrameDispatcher::EncryptedPacketRef{
-        parsed, std::span<std::uint8_t>(datagram.payload), &datagram});
-  }
-  if (!closed_) flush_run();
-  if (!closed_) TrySend();
 }
 
 Path* Connection::EnsurePath(PathId id, const sim::Datagram& datagram) {
@@ -580,10 +543,6 @@ void Connection::TrySend() {
   if (!established_ || closed_ || in_try_send_) return;
   AuditScope audit(*this);
   in_try_send_ = true;
-  // Transmit burst: every packet this pass produces (probes, control,
-  // the main data loop, scheduler duplicates) is sealed in one batched
-  // crypto call and handed to the network when the burst ends.
-  assembler_->BeginBurst();
 
   // Scheduler-requested probes (ping-first ablation).
   for (auto& [id, path] : paths_) {
@@ -695,7 +654,6 @@ void Connection::TrySend() {
       }
     }
   }
-  assembler_->EndBurst();
   in_try_send_ = false;
 }
 

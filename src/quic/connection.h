@@ -22,7 +22,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -69,13 +68,9 @@ class Connection : private RecoveryDelegate,
   /// Local addresses (one per interface). The first is the initial path's.
   void SetLocalAddresses(std::vector<sim::Address> addresses);
   /// Feed an incoming datagram (already demultiplexed by CID).
-  void OnDatagram(const sim::Datagram& datagram);
-  /// Feed a same-instant run of datagrams (quic::Server batch dispatch):
-  /// consecutive 1-RTT packets are decrypted with one crypto::OpenN call
-  /// and the send loop runs once for the whole run instead of once per
-  /// datagram. Payloads are decrypted in place — the caller owns the
-  /// datagrams and must not reuse their payload bytes afterwards.
-  void OnDatagramBatch(std::span<sim::Datagram> datagrams);
+  /// 1-RTT payloads are decrypted in place: the caller owns the datagram
+  /// and must not reuse its payload bytes afterwards.
+  void OnDatagram(sim::Datagram& datagram);
 
   // -- client lifecycle ---------------------------------------------------
   /// Start the secure handshake toward the server's initial address.
@@ -241,9 +236,6 @@ class Connection : private RecoveryDelegate,
   ConnectionStats stats_;
   bool in_try_send_ = false;
   int migrations_ = 0;
-  /// Recycled per-batch scratch for OnDatagramBatch (capacity survives
-  /// across batches).
-  std::vector<FrameDispatcher::EncryptedPacketRef> batch_packets_scratch_;
   /// Armed only in migrate-on-failure mode: detects a dead path from the
   /// receiver side (nothing arrives while a transfer is in progress).
   std::unique_ptr<sim::Timer> idle_timer_;

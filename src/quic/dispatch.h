@@ -74,30 +74,11 @@ class FrameDispatcher {
     on_stream_data_ = std::move(handler);
   }
 
-  /// Decrypt and process one 1-RTT packet. Drops it on missing keys,
-  /// decrypt failure or duplicate packet number.
-  void OnEncryptedPacket(const ParsedHeader& parsed, BufReader& reader,
-                         std::span<const std::uint8_t> datagram_bytes,
-                         const sim::Datagram& datagram);
-
-  /// One 1-RTT packet of a receive batch (quic::Server batch dispatch).
-  /// `payload` is the full mutable datagram payload (header | ciphertext
-  /// | tag) — the batch open decrypts it in place.
-  struct EncryptedPacketRef {
-    ParsedHeader parsed;
-    std::span<std::uint8_t> payload;
-    const sim::Datagram* datagram = nullptr;
-  };
-
-  /// Decrypt and process a same-instant run of 1-RTT packets with one
-  /// crypto::OpenN call. Packet numbers are reconstructed speculatively
-  /// along the run (each packet's decode context includes the packets
-  /// before it); the consume pass re-derives every number from the live
-  /// receiver state and falls back to a per-packet open whenever the
-  /// speculation diverged (only possible after a failed open), so the
-  /// outcome per packet — including stats — is exactly what sequential
-  /// OnEncryptedPacket calls would have produced.
-  void OnEncryptedPacketBatch(std::span<EncryptedPacketRef> packets);
+  /// Decrypt and process one 1-RTT packet, decrypting the datagram's
+  /// payload in place (the caller owns the datagram and must not reuse
+  /// its payload bytes afterwards). Drops it on missing keys, decrypt
+  /// failure or duplicate packet number.
+  void OnEncryptedPacket(const ParsedHeader& parsed, sim::Datagram& datagram);
 
   /// True while any receive stream still awaits data (idle-failure
   /// detection asks this).
@@ -106,12 +87,6 @@ class FrameDispatcher {
  private:
   friend class Auditor;
 
-  /// Everything after a successful open: duplicate check, tracing,
-  /// address follow, frame parse + routing, ACK scheduling. Shared by
-  /// the single-packet and batch paths.
-  void ProcessOpenedPacket(Path& path, PathId pid, PacketNumber pn,
-                           std::span<const std::uint8_t> plaintext,
-                           const sim::Datagram& datagram);
   /// Frames are consumed: stream payloads are moved out into the receive
   /// streams rather than copied.
   void ProcessFrames(Path& path, std::vector<Frame>& frames);
@@ -136,12 +111,7 @@ class FrameDispatcher {
   ByteCount total_highest_received_{};
 
   // Recycled per-packet scratch (see assembler.h for the rationale).
-  std::vector<std::uint8_t> recv_plaintext_scratch_;
   std::vector<Frame> recv_frames_scratch_;
-  /// Recycled OpenN request array + per-path speculative packet-number
-  /// context for OnEncryptedPacketBatch.
-  std::vector<crypto::OpenRequest> open_requests_scratch_;
-  std::vector<std::pair<PathId, PacketNumber>> predicted_largest_scratch_;
 };
 
 }  // namespace mpq::quic

@@ -28,7 +28,7 @@ ClientEndpoint::ClientEndpoint(sim::Simulator& sim, sim::Network& net,
       sim, Perspective::kClient, cid, config, rng.Fork(), std::move(send));
   connection_->SetLocalAddresses(locals_);
   for (auto* socket : sockets) {
-    socket->SetReceiveHandler([this](const sim::Datagram& datagram) {
+    socket->SetReceiveHandler([this](sim::Datagram& datagram) {
       connection_->OnDatagram(datagram);
     });
   }

@@ -33,7 +33,7 @@ Server::Server(sim::Simulator& sim, sim::Network& net,
     sim::DatagramSocket* socket = net_.CreateSocket(addr);
     sockets_.emplace_back(addr, socket);
     socket->SetReceiveHandler(
-        [this](const sim::Datagram& datagram) { OnDatagram(datagram); });
+        [this](sim::Datagram& datagram) { OnDatagram(datagram); });
   }
 }
 
@@ -115,56 +115,9 @@ Connection* Server::Demux(const sim::Datagram& datagram) {
   return it->second.get();
 }
 
-void Server::OnDatagram(const sim::Datagram& datagram) {
-  if (batch_dispatch_) {
-    // Stage and drain at the end of the current instant: deliveries from
-    // every socket land here first, then one flush event (scheduled at
-    // +0, so it runs after all same-instant deliveries) processes them
-    // in arrival order with batched crypto.
-    batch_pending_.push_back(datagram);
-    if (!batch_flush_scheduled_) {
-      batch_flush_scheduled_ = true;
-      sim_.Schedule(0, [this] { FlushBatch(); });
-    }
-    return;
-  }
+void Server::OnDatagram(sim::Datagram& datagram) {
   Connection* connection = Demux(datagram);
   if (connection != nullptr) connection->OnDatagram(datagram);
-}
-
-void Server::FlushBatch() {
-  batch_flush_scheduled_ = false;
-  // Swap the staging area out so deliveries landing while we process
-  // (none today — sends only schedule future events — but cheap to be
-  // safe) stage into a fresh batch.
-  std::vector<sim::Datagram> batch;
-  batch.swap(batch_pending_);
-  const auto peek_cid = [](const sim::Datagram& datagram, ConnectionId& cid) {
-    BufReader reader(datagram.payload);
-    std::uint8_t flags = 0;
-    return reader.ReadU8(flags) && reader.ReadU64(cid);
-  };
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    Connection* connection = Demux(batch[i]);
-    if (connection == nullptr) {
-      ++i;
-      continue;
-    }
-    // Extend the run over consecutive same-CID datagrams. They demux to
-    // the same (now known) connection, so only the per-datagram counter
-    // needs updating — Demux already ran for the run head.
-    ConnectionId run_cid = 0;
-    peek_cid(batch[i], run_cid);
-    std::size_t j = i + 1;
-    for (ConnectionId cid = 0;
-         j < batch.size() && peek_cid(batch[j], cid) && cid == run_cid; ++j) {
-      ++stats_.datagrams_demuxed;
-    }
-    connection->OnDatagramBatch(
-        std::span<sim::Datagram>(batch.data() + i, j - i));
-    i = j;
-  }
 }
 
 }  // namespace mpq::quic

@@ -67,19 +67,6 @@ class Server {
     on_accept_ = std::move(handler);
   }
 
-  /// Batch dispatch (opt-in; default off): instead of processing each
-  /// datagram inside its delivery event, stage every datagram arriving
-  /// at the same instant and drain them in one flush event — consecutive
-  /// same-connection runs decrypt with one crypto::OpenN call and run
-  /// the send loop once per run (Connection::OnDatagramBatch). Arrival
-  /// order is preserved exactly; only the *instant-local* interleaving
-  /// of receive processing with other same-instant events changes, so
-  /// the event stream is NOT byte-identical to unbatched mode (still
-  /// fully deterministic for a given mode). The figure benches run
-  /// unbatched; the many-connection engine turns this on.
-  void SetBatchDispatch(bool on) { batch_dispatch_ = on; }
-  bool batch_dispatch() const { return batch_dispatch_; }
-
   std::size_t connection_count() const { return connections_.size(); }
   Connection* FindConnection(ConnectionId cid);
   /// All owned connections, ordered by CID (deterministic — the model
@@ -99,14 +86,13 @@ class Server {
   const ServerStats& stats() const { return stats_; }
 
  private:
-  void OnDatagram(const sim::Datagram& datagram);
+  /// Demultiplex and feed one datagram to its connection, which decrypts
+  /// the payload in place.
+  void OnDatagram(sim::Datagram& datagram);
   /// Demultiplex one datagram to its (possibly new) connection. Returns
   /// the target connection, or nullptr when the datagram was dropped
   /// (wrong shard, unknown CID); stats are counted either way.
   Connection* Demux(const sim::Datagram& datagram);
-  /// Batch mode: drain every staged datagram, feeding consecutive
-  /// same-connection runs through Connection::OnDatagramBatch.
-  void FlushBatch();
 
   sim::Simulator& sim_;
   sim::Network& net_;
@@ -119,12 +105,6 @@ class Server {
   ServerStats stats_;
   std::vector<std::pair<sim::Address, sim::DatagramSocket*>> sockets_;
   std::map<ConnectionId, std::unique_ptr<Connection>> connections_;
-
-  bool batch_dispatch_ = false;
-  /// Staged same-instant datagrams awaiting the flush event (batch
-  /// mode). Payloads are decrypted in place during the flush.
-  std::vector<sim::Datagram> batch_pending_;
-  bool batch_flush_scheduled_ = false;
 };
 
 }  // namespace mpq::quic

@@ -198,7 +198,9 @@ class Node;
 /// exactly like a UDP socket: Send() and a receive callback.
 class DatagramSocket {
  public:
-  using ReceiveHandler = std::function<void(const Datagram&)>;
+  /// The handler may modify the datagram (QUIC decrypts in place): each
+  /// delivery hands over a datagram the network no longer uses.
+  using ReceiveHandler = std::function<void(Datagram&)>;
 
   Address local_address() const { return local_; }
   void SetReceiveHandler(ReceiveHandler handler) {

@@ -557,71 +557,5 @@ TEST(SessionKeys, InputFramingSeparatesShiftedSplits) {
   EXPECT_NE(ab_c.client_to_server, config_split.client_to_server);
 }
 
-// --- batched seal/open -----------------------------------------------------
-
-TEST(PacketProtection, SealNMatchesSealInPlacePerPacket) {
-  PacketProtection prot(SequentialKey());
-  const std::size_t lens[] = {0, 1, 64, 500, 1300};
-  std::vector<std::vector<std::uint8_t>> batch_bufs;
-  std::vector<std::vector<std::uint8_t>> single_bufs;
-  std::vector<std::uint8_t> aads[5];
-  for (std::size_t i = 0; i < 5; ++i) {
-    std::vector<std::uint8_t> buf(lens[i] + kAeadTagSize);
-    for (std::size_t j = 0; j < lens[i]; ++j) {
-      buf[j] = static_cast<std::uint8_t>(i * 17 + j);
-    }
-    aads[i].assign(i + 1, static_cast<std::uint8_t>(0xA0 + i));
-    batch_bufs.push_back(buf);
-    single_bufs.push_back(buf);
-  }
-  std::vector<SealRequest> requests;
-  for (std::size_t i = 0; i < 5; ++i) {
-    requests.push_back(SealRequest{PathId{static_cast<std::uint32_t>(i * 90)},
-                                   PacketNumber{i + 1}, aads[i],
-                                   batch_bufs[i]});
-  }
-  prot.SealN(requests);
-  for (std::size_t i = 0; i < 5; ++i) {
-    prot.SealInPlace(PathId{static_cast<std::uint32_t>(i * 90)},
-                     PacketNumber{i + 1}, aads[i], single_bufs[i]);
-    EXPECT_EQ(batch_bufs[i], single_bufs[i]) << "packet " << i;
-  }
-}
-
-TEST(PacketProtection, OpenNMatchesOpenInPlaceAndFlagsTampering) {
-  PacketProtection prot(SequentialKey());
-  std::vector<std::vector<std::uint8_t>> bufs;
-  std::vector<std::uint8_t> aad = {0xEE, 0xFF};
-  for (std::size_t i = 0; i < 6; ++i) {
-    std::vector<std::uint8_t> buf(100 + i * 37 + kAeadTagSize,
-                                  static_cast<std::uint8_t>(i));
-    prot.SealInPlace(PathId{2}, PacketNumber{i + 1}, aad, buf);
-    bufs.push_back(std::move(buf));
-  }
-  // Corrupt packets 1 and 4.
-  bufs[1][5] ^= 0x80;
-  bufs[4].back() ^= 0x01;
-  std::vector<std::vector<std::uint8_t>> expected = bufs;
-
-  std::vector<OpenRequest> requests;
-  for (std::size_t i = 0; i < 6; ++i) {
-    requests.push_back(
-        OpenRequest{PathId{2}, PacketNumber{i + 1}, aad, bufs[i]});
-  }
-  prot.OpenN(requests);
-  for (std::size_t i = 0; i < 6; ++i) {
-    std::size_t plaintext_len = 0;
-    const bool ok = prot.OpenInPlace(PathId{2}, PacketNumber{i + 1}, aad,
-                                     expected[i], plaintext_len);
-    ASSERT_EQ(requests[i].ok, ok) << "packet " << i;
-    ASSERT_EQ(ok, i != 1 && i != 4) << "packet " << i;
-    EXPECT_EQ(bufs[i], expected[i]) << "packet " << i;
-    if (ok) {
-      EXPECT_EQ(requests[i].plaintext_len, plaintext_len);
-      EXPECT_EQ(requests[i].plaintext_len, bufs[i].size() - kAeadTagSize);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace mpq::crypto

@@ -409,8 +409,8 @@ class OnPathAttacker {
     if (pid.value() >= 2 && rng_.NextBool(0.2)) {
       src = sim::Address{9, static_cast<std::uint16_t>(rng_.NextBounded(4))};
     }
-    const sim::Datagram dgram{src, to_client ? kVictimAddrs[0] : kPeerAddrs[0],
-                              std::move(bytes)};
+    sim::Datagram dgram{src, to_client ? kVictimAddrs[0] : kPeerAddrs[0],
+                        std::move(bytes)};
     dst.OnDatagram(dgram);
   }
 
@@ -474,7 +474,7 @@ class OnPathAttacker {
                    bytes = std::move(bytes)]() mutable {
                     Connection& dst = to_server ? *server_ : *client_;
                     if (dst.closed()) return;
-                    const sim::Datagram dgram{local, remote, std::move(bytes)};
+                    sim::Datagram dgram{local, remote, std::move(bytes)};
                     dst.OnDatagram(dgram);
                   });
   }

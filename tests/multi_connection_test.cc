@@ -40,13 +40,8 @@ struct StarTopology {
   }
 };
 
-TEST(MultiConnection, QuicServerHandlesManyClients) {
-  constexpr int kClients = 5;
-  StarTopology topo(kClients);
-
-  quic::ConnectionConfig config;  // single-path QUIC per client
-  quic::ServerEndpoint server(topo.sim, topo.net, topo.server_addrs, config,
-                              1);
+/// Answer each "GET <size>" request on stream 3 with <size> pattern bytes.
+void ServeRequestedSizes(quic::Server& server) {
   server.SetAcceptHandler([](quic::Connection& conn) {
     auto request = std::make_shared<std::string>();
     conn.SetStreamDataHandler(
@@ -54,11 +49,28 @@ TEST(MultiConnection, QuicServerHandlesManyClients) {
                          std::span<const std::uint8_t> data, bool fin) {
           request->append(data.begin(), data.end());
           if (fin) {
-            conn.SendOnStream(id, std::make_unique<PatternSource>(
-                                      id, ByteCount{std::stoull(request->substr(4))}));
+            conn.SendOnStream(
+                id, std::make_unique<PatternSource>(
+                        id, ByteCount{std::stoull(request->substr(4))}));
           }
         });
   });
+}
+
+std::unique_ptr<BufferSource> GetRequest(std::size_t size) {
+  const std::string request = "GET " + std::to_string(size);
+  return std::make_unique<BufferSource>(
+      std::vector<std::uint8_t>(request.begin(), request.end()));
+}
+
+TEST(MultiConnection, QuicServerHandlesManyClients) {
+  constexpr int kClients = 5;
+  StarTopology topo(kClients);
+
+  quic::ConnectionConfig config;  // single-path QUIC per client
+  quic::ServerEndpoint server(topo.sim, topo.net, topo.server_addrs, config,
+                              1);
+  ServeRequestedSizes(server);
 
   std::vector<std::unique_ptr<quic::ClientEndpoint>> clients;
   std::vector<ByteCount> received(kClients, ByteCount{0});
@@ -80,10 +92,8 @@ TEST(MultiConnection, QuicServerHandlesManyClients) {
           if (fin) ++finished;
         });
     clients[i]->connection().SetEstablishedHandler([&, i, size] {
-      const std::string request = "GET " + std::to_string(size.value());
-      clients[i]->connection().SendOnStream(
-          StreamId{3}, std::make_unique<BufferSource>(std::vector<std::uint8_t>(
-                 request.begin(), request.end())));
+      clients[i]->connection().SendOnStream(StreamId{3},
+                                            GetRequest(size.value()));
     });
     clients[i]->Connect(topo.server_addrs[i]);
   }
@@ -140,6 +150,114 @@ TEST(MultiConnection, QuicConnectionsAreCryptographicallyIsolated) {
   for (auto& client : clients) {
     EXPECT_EQ(client->connection().stats().packets_decrypt_failed, 0u);
   }
+}
+
+TEST(MultiConnection, DuplicatedDeliveryIsCountedAsDuplicateNotDecryptFailure) {
+  // Receivers decrypt every 1-RTT datagram in place. A duplicated
+  // delivery event (wire duplication) owns its own copy of the
+  // ciphertext, so opening the first copy must leave the second intact:
+  // the clone is a duplicate packet, never a decrypt failure.
+  StarTopology topo(1);
+  quic::ConnectionConfig config;
+  quic::ServerEndpoint server(topo.sim, topo.net, topo.server_addrs, config,
+                              1);
+  ServeRequestedSizes(server);
+  quic::ClientEndpoint client(topo.sim, topo.net, {topo.client_addrs[0]},
+                              config, 7);
+  constexpr std::size_t kSize = 256 * 1024;
+  ByteCount received{0};
+  bool finished = false;
+  client.connection().SetStreamDataHandler(
+      [&](StreamId, ByteCount, std::span<const std::uint8_t> data,
+          bool fin) {
+        received += data.size();
+        finished |= fin;
+      });
+  client.connection().SetEstablishedHandler([&] {
+    client.connection().SendOnStream(StreamId{3}, GetRequest(kSize));
+  });
+  client.Connect(topo.server_addrs[0]);
+
+  // Mid-transfer, every delivery toward the client is a 1-RTT data packet.
+  while (received < ByteCount{64 * 1024} && topo.sim.RunOne(30 * kSecond)) {
+  }
+  ASSERT_GE(received, ByteCount{64 * 1024});
+  const std::uint32_t to_client = 1u + topo.client_addrs[0].node;
+  sim::Simulator::EventId delivery = 0;
+  while (delivery == 0) {
+    for (const auto& event : topo.sim.PendingEvents()) {
+      if (event.kind == sim::EventKind::kDelivery &&
+          event.scope == to_client) {
+        delivery = event.id;
+        break;
+      }
+    }
+    if (delivery == 0) {
+      ASSERT_TRUE(topo.sim.RunOne(30 * kSecond));
+    }
+  }
+  ASSERT_NE(topo.sim.DuplicateEvent(delivery), 0u);
+
+  topo.sim.Run(30 * kSecond);
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(received, ByteCount{kSize});
+  EXPECT_EQ(client.connection().stats().packets_duplicate, 1u);
+  EXPECT_EQ(client.connection().stats().packets_decrypt_failed, 0u);
+}
+
+TEST(MultiConnection, TamperedTagIsCountedAndTheFlowStillCompletes) {
+  // A 1-RTT datagram whose tag was corrupted on the wire reaches a
+  // quic::Server connection: it fails to open in place, is counted and
+  // dropped, and recovery resends its data under a fresh packet number.
+  StarTopology topo(1);
+  quic::ConnectionConfig config;
+  quic::ServerEndpoint server(topo.sim, topo.net, topo.server_addrs, config,
+                              1);
+  ServeRequestedSizes(server);
+
+  // Hand-wired client (what ClientEndpoint does), so its first 1-RTT
+  // datagram can be corrupted on the way to the wire.
+  sim::DatagramSocket* socket = topo.net.CreateSocket(topo.client_addrs[0]);
+  bool tamper_next = false;
+  int tampered = 0;
+  quic::Connection client(
+      topo.sim, quic::Perspective::kClient, ConnectionId{0x5EED1}, config,
+      Rng(9),
+      [&](sim::Address, sim::Address remote,
+          std::vector<std::uint8_t> payload) {
+        if (tamper_next && (payload[0] & quic::kFlagHandshake) == 0) {
+          payload.back() ^= 0x01;  // the last byte belongs to the tag
+          tamper_next = false;
+          ++tampered;
+        }
+        socket->Send(remote, std::move(payload));
+      });
+  client.SetLocalAddresses({topo.client_addrs[0]});
+  socket->SetReceiveHandler(
+      [&client](sim::Datagram& datagram) { client.OnDatagram(datagram); });
+
+  constexpr std::size_t kSize = 64 * 1024;
+  ByteCount received{0};
+  bool finished = false;
+  client.SetStreamDataHandler([&](StreamId, ByteCount,
+                                  std::span<const std::uint8_t> data,
+                                  bool fin) {
+    received += data.size();
+    finished |= fin;
+  });
+  client.SetEstablishedHandler([&] {
+    tamper_next = true;
+    client.SendOnStream(StreamId{3}, GetRequest(kSize));
+  });
+  client.Connect(topo.server_addrs[0]);
+  topo.sim.Run(30 * kSecond);
+
+  EXPECT_EQ(tampered, 1);
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(received, ByteCount{kSize});
+  const quic::Connection* served = server.FindConnection(client.cid());
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->stats().packets_decrypt_failed, 1u);
 }
 
 TEST(MultiConnection, TcpServerHandlesManyClients) {

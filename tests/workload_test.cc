@@ -154,53 +154,6 @@ TEST(RunWorkload, ByteIdenticalForAnyJobCount) {
   EXPECT_NE(Slurp(dir + "/workload_j1.ndjson"), "");
 }
 
-TEST(RunWorkload, BatchDispatchFleetCompletes) {
-  // Server batch dispatch (crypto::OpenN over same-instant datagram
-  // runs) must deliver every flow just like the unbatched engine: same
-  // flows completed, same bytes delivered — only event interleaving
-  // (and thus FCT microseconds) may differ.
-  WorkloadOptions options = SmallOptions();
-  const WorkloadResult unbatched = RunWorkload(options);
-  options.batch_dispatch = true;
-  const WorkloadResult batched = RunWorkload(options);
-  EXPECT_EQ(batched.completed, options.connections);
-  EXPECT_EQ(batched.bytes_received, unbatched.bytes_received);
-  for (const FlowResult& flow : batched.flows) {
-    EXPECT_TRUE(flow.completed) << "flow " << flow.index;
-  }
-}
-
-TEST(RunWorkload, BatchDispatchMultipathFleetCompletes) {
-  WorkloadOptions options = SmallOptions();
-  options.multipath = true;
-  options.batch_dispatch = true;
-  const WorkloadResult result = RunWorkload(options);
-  EXPECT_EQ(result.completed, options.connections);
-  EXPECT_GT(result.total_goodput_mbps, 0.0);
-}
-
-TEST(RunWorkload, BatchDispatchByteIdenticalForAnyJobCount) {
-  // The determinism contract holds in batch mode too: the flush event
-  // is per-shard simulator state, untouched by the worker pool.
-  WorkloadOptions options = SmallOptions();
-  options.connections = 32;
-  options.shards = 8;
-  options.batch_dispatch = true;
-  options.jobs = 1;
-  const WorkloadResult r1 = RunWorkload(options);
-  options.jobs = 4;
-  const WorkloadResult r4 = RunWorkload(options);
-  EXPECT_EQ(r1.metrics_json, r4.metrics_json);
-  EXPECT_EQ(r1.completed, r4.completed);
-  EXPECT_EQ(r1.bytes_received, r4.bytes_received);
-  EXPECT_EQ(r1.total_events, r4.total_events);
-  ASSERT_EQ(r1.flows.size(), r4.flows.size());
-  for (std::size_t i = 0; i < r1.flows.size(); ++i) {
-    EXPECT_EQ(r1.flows[i].completed, r4.flows[i].completed);
-    EXPECT_EQ(r1.flows[i].fct, r4.flows[i].fct);
-  }
-}
-
 TEST(RunWorkload, ShardStatsDemuxCleanly) {
   // Every flow lands on the shard its CID hashes to, so no shard should
   // ever see a wrong-shard datagram; the merged registry carries the

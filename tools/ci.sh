@@ -10,7 +10,8 @@
 # the chaos sweep, the many-connection scale smoke (1000-connection
 # workload with a --jobs determinism check), the SIMD/scalar crypto
 # equivalence check (a -DMPQ_NO_SIMD build must digest-match the
-# vectorized build), and the perf-regression gate.
+# vectorized build), the benchmark self-test (same seed, same outputs;
+# traced equals untraced), and the perf-regression gate.
 #
 #   tools/ci.sh [--jobs N]
 #
@@ -141,19 +142,47 @@ cmp build/crypto_selftest.txt build-nosimd/crypto_selftest.txt
 MPQ_NO_SIMD=1 ./build/bench/bench_micro_crypto --selftest \
   | cmp - build/crypto_selftest.txt
 
+# --- Stage 5d: benchmark self-test --------------------------------------
+# perfbench (BENCHMARK.json) runs every workload twice on one seed and
+# once on another, untraced and traced: the same seed must reproduce the
+# inputs, outputs and deterministic metrics exactly, and tracing must not
+# change the outputs. A refactor that perturbs protocol behaviour (or
+# makes it depend on the profiler) fails here.
+echo "==> benchmark self-test (perfbench)"
+python3 perfbench/check.py selftest
+
 # --- Stage 6: perf-regression gate -------------------------------------
-# Re-measure the engine transfer (--quick skips the WSP sweeps) and
-# compare packets-per-second against the committed baseline; fail the
-# build if the engine regressed more than 15%. The committed BENCH_*.json
-# is the newest checkpoint — refresh it with
-# `build/bench/bench_perf_baseline --prof --out BENCH_PRn.json` whenever
-# a PR intentionally moves the number (docs/PERFORMANCE.md).
+# Re-measure the engine transfer (--quick skips the WSP sweeps) five
+# times and compare the median sample's packets-per-second against the
+# committed baseline; fail the build if the engine regressed more than
+# 15%. One sample swings far more than that on a shared host, so the
+# median keeps a no-change run from tripping the gate without widening
+# the bound. The committed BENCH_*.json is the newest checkpoint —
+# refresh it with `build/bench/bench_perf_baseline --prof --out
+# BENCH_PRn.json` whenever a PR intentionally moves the number
+# (docs/PERFORMANCE.md).
 baseline=$(ls BENCH_PR*.json 2>/dev/null | sort -V | tail -1)
 if [[ -n "${baseline}" ]]; then
-  echo "==> perf-regression gate (vs ${baseline})"
-  ./build/bench/bench_perf_baseline --quick --out build/BENCH_ci.json
-  ./build/tools/mpq_prof --check-regression build/BENCH_ci.json \
-    "${baseline}" --tolerance 15
+  echo "==> perf-regression gate (median of 5 vs ${baseline})"
+  samples=()
+  for i in 1 2 3 4 5; do
+    ./build/bench/bench_perf_baseline --quick --out "build/BENCH_ci_${i}.json"
+    samples+=("build/BENCH_ci_${i}.json")
+  done
+  median=$(python3 - "${samples[@]}" <<'PY'
+import json
+import sys
+
+def pps(path):
+    with open(path) as f:
+        return json.load(f)["current"]["engine_packets_per_sec"]
+
+paths = sorted(sys.argv[1:], key=pps)
+print(paths[len(paths) // 2])
+PY
+)
+  ./build/tools/mpq_prof --check-regression "${median}" "${baseline}" \
+    --tolerance 15
 else
   echo "==> perf-regression gate: no committed BENCH_PR*.json, skipping"
 fi
