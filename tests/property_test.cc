@@ -5,6 +5,7 @@
 // "nothing is silently corrupted anywhere in the design space" net.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "harness/runner.h"
@@ -98,6 +99,11 @@ struct AsymmetryCase {
   double rtt0_ms, rtt1_ms;
   double queue_ms;
 };
+
+// Without this, gtest prints the case as raw bytes, and the first eight are
+// the address of `name`, which ASLR moves on every run; the discovered ctest
+// names would then change from build to build.
+void PrintTo(const AsymmetryCase& c, std::ostream* os) { *os << c.name; }
 
 class AsymmetrySweep : public ::testing::TestWithParam<AsymmetryCase> {};
 
