@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "cc/newreno.h"
 #include "expdesign/wsp.h"
@@ -12,6 +13,7 @@
 #include "quic/scheduler.h"
 #include "quic/streams.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 
 namespace {
 
@@ -32,21 +34,30 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(1000)->Arg(100000);
 
-void BM_SimulatorCancelHeavy(benchmark::State& state) {
-  // Half of all events get cancelled — the stale-heap-entry path.
+void BM_TimerRearm(benchmark::State& state) {
+  // The per-packet timer path: every sent or acked packet re-arms its
+  // connection's RTO, ACK and pacing timers to a later deadline. 1000
+  // live Timers are re-armed round-robin in place, then drained.
+  constexpr int kTimers = 1000;
   for (auto _ : state) {
     sim::Simulator sim;
-    std::vector<sim::Simulator::EventId> ids;
-    ids.reserve(state.range(0));
-    for (int i = 0; i < state.range(0); ++i) {
-      ids.push_back(sim.Schedule(i % 977, [] {}));
+    int fired = 0;
+    std::vector<std::unique_ptr<sim::Timer>> timers;
+    timers.reserve(kTimers);
+    for (int i = 0; i < kTimers; ++i) {
+      timers.push_back(
+          std::make_unique<sim::Timer>(sim, [&fired] { ++fired; }));
+      timers.back()->SetAt(i);
     }
-    for (std::size_t i = 0; i < ids.size(); i += 2) sim.Cancel(ids[i]);
+    for (int i = 0; i < state.range(0); ++i) {
+      timers[static_cast<std::size_t>(i % kTimers)]->SetAt(kTimers + i);
+    }
     sim.Run();
+    benchmark::DoNotOptimize(fired);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SimulatorCancelHeavy)->Arg(10000);
+BENCHMARK(BM_TimerRearm)->Arg(100000);
 
 void BM_ReceivedTrackerInOrder(benchmark::State& state) {
   for (auto _ : state) {

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "common/source.h"
+#include "common/stats.h"
 #include "harness/parallel.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -396,6 +397,7 @@ WorkloadResult RunWorkload(const WorkloadOptions& options) {
   TimePoint first_arrival = 0;
   TimePoint last_completion = 0;
   std::vector<double> goodputs;
+  std::vector<double> fcts;
   bool any = false;
   for (const FlowResult& flow : result.flows) {
     if (!flow.completed) continue;
@@ -406,6 +408,7 @@ WorkloadResult RunWorkload(const WorkloadOptions& options) {
     result.completed += 1;
     result.bytes_received += flow.size;
     goodputs.push_back(flow.goodput_mbps);
+    fcts.push_back(static_cast<double>(flow.fct));
   }
   const Duration span = any ? last_completion - first_arrival : 0;
   result.total_goodput_mbps =
@@ -413,10 +416,9 @@ WorkloadResult RunWorkload(const WorkloadOptions& options) {
                      static_cast<double>(span)
                : 0.0;
   result.jain_index = JainIndex(goodputs);
-  const obs::Histogram& fct = fleet.GetHistogram("workload.fct_us");
-  result.fct_p50_us = fct.Percentile(50.0);
-  result.fct_p99_us = fct.Percentile(99.0);
-  result.fct_p999_us = fct.Percentile(99.9);
+  result.fct_p50_us = Percentile(fcts, 50.0);
+  result.fct_p99_us = Percentile(fcts, 99.0);
+  result.fct_p999_us = Percentile(std::move(fcts), 99.9);
   fleet.GetCounter("workload.shards").Increment(shards);
   fleet.GetCounter("workload.events").Increment(result.total_events);
   result.metrics_json = fleet.SnapshotJson();

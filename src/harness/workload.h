@@ -104,7 +104,8 @@ struct WorkloadResult {
   /// Jain fairness index over completed flows' goodputs (1 = perfectly
   /// fair; 1/n = one flow got everything).
   double jain_index = 0.0;
-  /// FCT percentiles from the merged fleet histogram, microseconds.
+  /// Exact (interpolated) FCT percentiles over completed flows,
+  /// microseconds.
   double fct_p50_us = 0.0;
   double fct_p99_us = 0.0;
   double fct_p999_us = 0.0;

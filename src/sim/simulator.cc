@@ -7,36 +7,123 @@
 
 namespace mpq::sim {
 
+namespace {
+constexpr std::size_t kArity = 4;
+}  // namespace
+
+Simulator::~Simulator() {
+  // Timers that outlive their Simulator (teardown paths only) must see
+  // themselves disarmed so their destructors do not touch the dead heap.
+  for (const Slot& slot : heap_) slot.node->heap_index = kNotQueued;
+}
+
 Simulator::EventId Simulator::ScheduleAt(TimePoint when, Callback fn,
                                          EventKind kind, std::uint32_t scope) {
-  if (when < now_) when = now_;
-  const EventId id = next_id_++;
-  pending_.emplace(id, Event{when, id, kind, scope, std::move(fn)});
-  queue_.push(HeapEntry{when, id});
-  return id;
+  Node* node = nullptr;
+  if (free_.empty()) {
+    node = &pool_.emplace_back();
+    node->one_shot = true;
+  } else {
+    node = free_.back();
+    free_.pop_back();
+  }
+  node->kind = kind;
+  node->scope = scope;
+  node->fn = std::move(fn);
+  return Arm(*node, when);
 }
 
-Simulator::EventId Simulator::ArmTimer(TimerEntry& entry, TimePoint when) {
+Simulator::EventId Simulator::Arm(Node& node, TimePoint when) {
   if (when < now_) when = now_;
-  const EventId id = next_id_++;
-  wheel_.Arm(entry, when, id);
-  return id;
+  const Slot slot{when, next_id_++, &node};
+  if (node.heap_index == kNotQueued) {
+    heap_.push_back(slot);
+    SiftUp(heap_.size() - 1, slot);
+  } else if (Before(slot, heap_[node.heap_index])) {
+    SiftUp(node.heap_index, slot);
+  } else {
+    SiftDown(node.heap_index, slot);
+  }
+  return slot.id;
 }
 
-void Simulator::CancelTimer(TimerEntry& entry) { wheel_.Cancel(entry); }
+void Simulator::SiftUp(std::size_t index, const Slot& slot) {
+  while (index > 0) {
+    const std::size_t parent = (index - 1) / kArity;
+    if (!Before(slot, heap_[parent])) break;
+    Place(index, heap_[parent]);
+    index = parent;
+  }
+  Place(index, slot);
+}
+
+void Simulator::SiftDown(std::size_t index, const Slot& slot) {
+  const std::size_t size = heap_.size();
+  for (;;) {
+    const std::size_t first = kArity * index + 1;
+    if (first >= size) break;
+    const std::size_t end = std::min(first + kArity, size);
+    std::size_t best = first;
+    for (std::size_t child = first + 1; child < end; ++child) {
+      if (Before(heap_[child], heap_[best])) best = child;
+    }
+    if (!Before(heap_[best], slot)) break;
+    Place(index, heap_[best]);
+    index = best;
+  }
+  Place(index, slot);
+}
+
+void Simulator::RemoveAt(std::size_t index) {
+  heap_[index].node->heap_index = kNotQueued;
+  const Slot last = heap_.back();
+  heap_.pop_back();
+  if (index == heap_.size()) return;
+  if (index > 0 && Before(last, heap_[(index - 1) / kArity])) {
+    SiftUp(index, last);
+  } else {
+    SiftDown(index, last);
+  }
+}
+
+void Simulator::Release(Node* node) {
+  node->fn = nullptr;
+  free_.push_back(node);
+}
+
+void Simulator::Fire(const Slot& slot) {
+  ++events_executed_;
+  // A Timer's callback stays in its node (the callback may re-arm it). A
+  // one-shot callback is moved out and its node recycled first, so the
+  // callback may freely schedule (and reuse that node) or cancel.
+  Callback* fn = &slot.node->fn;
+  Callback one_shot;
+  if (slot.node->one_shot) {
+    one_shot = std::move(*fn);
+    Release(slot.node);
+    fn = &one_shot;
+  }
+  // Root span of the engine: every protocol callback (and therefore
+  // every nested dispatch/assembly/crypto/recovery span) runs inside
+  // one simulated event, so "sim;event" inclusive time ≈ engine wall
+  // time and its self time is the uninstrumented remainder.
+  MPQ_PROF_SCOPE("sim/event");
+  (*fn)();
+}
+
+std::size_t Simulator::Find(EventId id) const {
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    if (heap_[i].id == id) return i;
+  }
+  return kNotQueued;
+}
 
 std::vector<Simulator::PendingEventInfo> Simulator::PendingEvents() const {
   std::vector<PendingEventInfo> out;
-  out.reserve(pending_.size() + wheel_.size());
-  for (const auto& [id, event] : pending_) {
-    out.push_back({id, event.when, event.kind, event.scope});
+  out.reserve(heap_.size());
+  for (const Slot& slot : heap_) {
+    out.push_back({slot.id, slot.when, slot.node->kind, slot.node->scope});
   }
-  // Wheel timers are pending events like any other; they carry scope 0
-  // (timers are dependent with everything), exactly as the heap-based
-  // timers did.
-  wheel_.ForEach([&out](const TimerEntry& entry) {
-    out.push_back({entry.id(), entry.when(), EventKind::kTimer, 0});
-  });
   std::sort(out.begin(), out.end(),
             [](const PendingEventInfo& a, const PendingEventInfo& b) {
               if (a.when != b.when) return a.when < b.when;
@@ -45,115 +132,40 @@ std::vector<Simulator::PendingEventInfo> Simulator::PendingEvents() const {
   return out;
 }
 
-void Simulator::FireWheelEntry(TimerEntry& entry, bool pop_earliest) {
-  std::function<void()>* fn = entry.callback;
-  const TimePoint when = entry.when();
-  if (pop_earliest) {
-    wheel_.PopEarliest(entry);
-    now_ = when;
-  } else {
-    // Explorer path (FireEvent out of order): fire late without moving
-    // the wheel's horizon — later entries keep their placement.
-    wheel_.Cancel(entry);
-    if (when > now_) now_ = when;
-  }
-  ++events_executed_;
-  {
-    MPQ_PROF_SCOPE("sim/event");
-    (*fn)();
-  }
-}
-
 bool Simulator::FireEvent(EventId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) {
-    TimerEntry* entry = wheel_.FindById(id);
-    if (entry == nullptr) return false;
-    FireWheelEntry(*entry, /*pop_earliest=*/false);
-    return true;
-  }
-  Callback fn = std::move(it->second.fn);
-  if (it->second.when > now_) now_ = it->second.when;
-  pending_.erase(it);
-  ++events_executed_;
-  {
-    MPQ_PROF_SCOPE("sim/event");
-    fn();
-  }
+  const std::size_t index = Find(id);
+  if (index == kNotQueued) return false;
+  const Slot slot = heap_[index];
+  RemoveAt(index);
+  if (slot.when > now_) now_ = slot.when;
+  Fire(slot);
   return true;
 }
 
 Simulator::EventId Simulator::DuplicateEvent(EventId id, Duration extra_delay) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) {
-    TimerEntry* entry = wheel_.FindById(id);
-    if (entry == nullptr) return 0;
-    // Clone the timer as a plain heap event invoking a copy of the
-    // owner's callback (the original entry stays armed; the clone does
-    // not reset the owning Timer's state when it fires).
-    Callback copy = *entry->callback;
-    const TimePoint when =
-        entry->when() + (extra_delay < 0 ? 0 : extra_delay);
-    return ScheduleAt(when, std::move(copy), EventKind::kTimer, 0);
-  }
-  // Copy the callback (std::function targets are CopyConstructible by
-  // construction) and reuse the normal scheduling path for the clone.
-  Callback copy = it->second.fn;
-  const TimePoint when =
-      it->second.when + (extra_delay < 0 ? 0 : extra_delay);
-  return ScheduleAt(when, std::move(copy), it->second.kind, it->second.scope);
+  const std::size_t index = Find(id);
+  if (index == kNotQueued) return 0;
+  // The clone is a one-shot event invoking a copy of the callback; a
+  // cloned timer leaves the original armed.
+  const Slot& slot = heap_[index];
+  const TimePoint when = slot.when + (extra_delay < 0 ? 0 : extra_delay);
+  return ScheduleAt(when, slot.node->fn, slot.node->kind, slot.node->scope);
 }
 
 void Simulator::Cancel(EventId id) {
-  if (pending_.erase(id) != 0) return;
-  TimerEntry* entry = wheel_.FindById(id);
-  if (entry != nullptr) wheel_.Cancel(*entry);
+  const std::size_t index = Find(id);
+  if (index == kNotQueued) return;
+  Node* node = heap_[index].node;
+  RemoveAt(index);
+  if (node->one_shot) Release(node);
 }
 
 bool Simulator::RunOne(TimePoint until) {
-  // Discard stale heap entries so the top (if any) is a live event.
-  while (!queue_.empty() &&
-         pending_.find(queue_.top().id) == pending_.end()) {
-    queue_.pop();
-  }
-  TimerEntry* timer = wheel_.PeekEarliest();
-  bool fire_timer;
-  if (timer != nullptr && !queue_.empty()) {
-    const HeapEntry top = queue_.top();
-    fire_timer = timer->when() != top.when ? timer->when() < top.when
-                                           : timer->id() < top.id;
-  } else if (timer != nullptr) {
-    fire_timer = true;
-  } else if (!queue_.empty()) {
-    fire_timer = false;
-  } else {
-    return false;
-  }
-
-  if (fire_timer) {
-    if (timer->when() > until) return false;
-    FireWheelEntry(*timer, /*pop_earliest=*/true);
-    return true;
-  }
-
-  const HeapEntry top = queue_.top();
-  if (top.when > until) return false;
-  auto it = pending_.find(top.id);
-  queue_.pop();
-  // Move the callback out before erasing so the callback may freely
-  // schedule/cancel (including rescheduling its own id, which is gone).
-  Callback fn = std::move(it->second.fn);
+  if (heap_.empty() || heap_[0].when > until) return false;
+  const Slot top = heap_[0];
+  RemoveAt(0);
   now_ = top.when;
-  pending_.erase(it);
-  ++events_executed_;
-  {
-    // Root span of the engine: every protocol callback (and therefore
-    // every nested dispatch/assembly/crypto/recovery span) runs inside
-    // one simulated event, so "sim;event" inclusive time ≈ engine wall
-    // time and its self time is the uninstrumented remainder.
-    MPQ_PROF_SCOPE("sim/event");
-    fn();
-  }
+  Fire(top);
   return true;
 }
 

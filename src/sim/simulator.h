@@ -6,6 +6,17 @@
 // timers are all events on one queue, executed in strict timestamp order
 // (FIFO among equal timestamps), so every run is exactly reproducible.
 //
+// Determinism contract: every pending event is keyed by (when, id) and
+// fires in that order. Ids come from one monotonic counter that consumes
+// exactly one id per ScheduleAt and one per Timer arm (SetAt/SetIn), so
+// the firing order -- and with it every CSV, qlog and digest -- depends
+// only on the sequence of those calls.
+//
+// The queue is one indexed 4-ary min-heap. Each heap slot holds its key
+// inline and points at an intrusive node that records its own heap
+// index. sim::Timer embeds a node and re-arms it in place (new key, one
+// sift, no allocation); one-shot events take a node from a free list.
+//
 // Schedule control (docs/MODEL_CHECKING.md): events carry an EventKind
 // and a scope tag, the pending set is enumerable (PendingEvents), and a
 // specific pending event can be fired out of timestamp order (FireEvent)
@@ -15,15 +26,14 @@
 // bounded amount of jitter could produce.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
-#include <queue>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
-#include "sim/timer_wheel.h"
 
 namespace mpq::sim {
 
@@ -31,6 +41,8 @@ namespace mpq::sim {
 /// are the adversary's targets (drop/duplicate model wire faults);
 /// timers and generic events may only be reordered, never dropped.
 enum class EventKind : std::uint8_t { kGeneric = 0, kDelivery = 1, kTimer = 2 };
+
+class Timer;
 
 class Simulator {
  public:
@@ -48,6 +60,7 @@ class Simulator {
   };
 
   Simulator() = default;
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -68,19 +81,9 @@ class Simulator {
                      std::uint32_t scope = 0);
 
   /// Cancel a pending event. Cancelling an already-fired or unknown id is
-  /// a harmless no-op (protocol timers race with the events that clear
-  /// them; this mirrors how timer APIs behave in real stacks).
+  /// a harmless no-op. O(n) scan of the queue: only the explorer and a
+  /// micro-benchmark cancel by id; protocol code uses sim::Timer.
   void Cancel(EventId id);
-
-  /// Arm `entry` to fire at `when` (clamped to now) on the shared timer
-  /// wheel — the zero-allocation path sim::Timer uses. Exactly one event
-  /// id is consumed per arm (the same budget a ScheduleAt-based timer
-  /// would use), so the merged (when, id) firing order is identical to
-  /// scheduling the timer as a heap event. Returns the assigned id.
-  EventId ArmTimer(TimerEntry& entry, TimePoint when);
-
-  /// Disarm a wheel timer (no-op if not armed).
-  void CancelTimer(TimerEntry& entry);
 
   /// Run until the queue is empty or simulated time would exceed `until`.
   /// Returns the number of events executed.
@@ -108,44 +111,58 @@ class Simulator {
   /// wire duplication. Returns 0 for unknown ids.
   EventId DuplicateEvent(EventId id, Duration extra_delay = 0);
 
-  bool empty() const { return pending_.empty() && wheel_.empty(); }
+  bool empty() const { return heap_.empty(); }
   std::uint64_t events_executed() const { return events_executed_; }
 
  private:
-  struct Event {
-    TimePoint when = 0;
-    EventId id = 0;  // monotonic; provides FIFO tie-breaking at equal times
+  friend class Timer;
+
+  static constexpr std::size_t kNotQueued = static_cast<std::size_t>(-1);
+
+  /// What a heap slot points at. Timers embed one; one-shot events own
+  /// theirs through `pool_`.
+  struct Node {
+    std::size_t heap_index = kNotQueued;
     EventKind kind = EventKind::kGeneric;
     std::uint32_t scope = 0;
+    bool one_shot = false;  // pooled: the callback is moved out to fire
     Callback fn;
   };
-  struct HeapEntry {
+  struct Slot {
     TimePoint when;
     EventId id;
+    Node* node;
   };
-  struct HeapCompare {
-    // std::priority_queue is a max-heap; invert for earliest-first and
-    // lowest-id-first among equal timestamps.
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;
-    }
-  };
+  static bool Before(const Slot& a, const Slot& b) {
+    return a.when != b.when ? a.when < b.when : a.id < b.id;
+  }
 
-  /// Fire one wheel timer: disarm first (so the callback may re-arm),
-  /// advance time, invoke.
-  void FireWheelEntry(TimerEntry& entry, bool pop_earliest);
+  /// Queue `node` at `when` (clamped to now) under a fresh id, or re-key
+  /// it in place if it is already queued. Returns the id.
+  EventId Arm(Node& node, TimePoint when);
+  TimePoint WhenOf(const Node& node) const {
+    return heap_[node.heap_index].when;
+  }
+
+  std::size_t Find(EventId id) const;
+  void Place(std::size_t index, const Slot& slot) {
+    heap_[index] = slot;
+    slot.node->heap_index = index;
+  }
+  void SiftUp(std::size_t index, const Slot& slot);
+  void SiftDown(std::size_t index, const Slot& slot);
+  /// Take the slot at `index` off the heap and mark its node unqueued.
+  void RemoveAt(std::size_t index);
+  /// Run a slot already removed from the heap; recycles one-shot nodes.
+  void Fire(const Slot& slot);
+  void Release(Node* node);
 
   TimePoint now_ = 0;
   EventId next_id_ = 1;
   std::uint64_t events_executed_ = 0;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapCompare> queue_;
-  // Cancellation removes from this map; stale heap entries are skipped on
-  // pop. The heap never holds more stale entries than were cancelled.
-  std::unordered_map<EventId, Event> pending_;
-  // Protocol timers (EventKind::kTimer via sim::Timer) live here, not in
-  // the heap; RunOne merges the two sources by exact (when, id).
-  TimerWheel wheel_;
+  std::vector<Slot> heap_;
+  std::deque<Node> pool_;  // every one-shot node (stable addresses)
+  std::vector<Node*> free_;
 };
 
 }  // namespace mpq::sim

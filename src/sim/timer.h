@@ -10,18 +10,18 @@
 
 namespace mpq::sim {
 
-/// Set/reset/cancel semantics over the Simulator's shared timer wheel.
-/// The callback is stored once at construction and the timer re-arms by
-/// relinking its embedded wheel entry — no allocation per (re-)arm,
-/// which matters when thousands of connections each re-arm RTO/ACK/
-/// pacing timers on every packet. The timer does not own its callback's
-/// context; the owner must outlive any armed timer (owners cancel in
-/// their destructors via RAII here).
+/// Set/reset/cancel semantics over the Simulator's event queue. The timer
+/// embeds its queue node, which holds the callback; (re-)arming re-keys
+/// that node in place, with no allocation. Events are tagged
+/// EventKind::kTimer so the model-checking explorer can tell protocol
+/// timers from network deliveries (timers reorder but never drop). The
+/// timer does not own its callback's context; the owner must outlive any
+/// armed timer (owners cancel in their destructors via RAII here).
 class Timer {
  public:
-  Timer(Simulator& sim, std::function<void()> callback)
-      : sim_(sim), callback_(std::move(callback)) {
-    entry_.callback = &callback_;
+  Timer(Simulator& sim, std::function<void()> callback) : sim_(sim) {
+    node_.kind = EventKind::kTimer;
+    node_.fn = std::move(callback);
   }
 
   Timer(const Timer&) = delete;
@@ -30,33 +30,25 @@ class Timer {
   ~Timer() { Cancel(); }
 
   /// Arm (or re-arm) the timer to fire at absolute time `when`. The
-  /// wheel entry is tagged EventKind::kTimer so the model-checking
-  /// explorer can tell protocol timers from network deliveries (timers
-  /// reorder but never drop); the Simulator disarms the entry before
-  /// invoking the callback, so the callback may re-arm freely.
-  void SetAt(TimePoint when) {
-    deadline_ = when;
-    sim_.ArmTimer(entry_, when);
-  }
+  /// Simulator disarms the timer before invoking the callback, so the
+  /// callback may re-arm freely.
+  void SetAt(TimePoint when) { sim_.Arm(node_, when); }
 
   /// Arm (or re-arm) the timer to fire `delay` from now.
   void SetIn(Duration delay) { SetAt(sim_.now() + (delay < 0 ? 0 : delay)); }
 
   void Cancel() {
-    sim_.CancelTimer(entry_);
-    deadline_ = kTimeInfinite;
+    if (armed()) sim_.RemoveAt(node_.heap_index);
   }
 
-  bool armed() const { return entry_.armed(); }
+  bool armed() const { return node_.heap_index != Simulator::kNotQueued; }
   TimePoint deadline() const {
-    return entry_.armed() ? deadline_ : kTimeInfinite;
+    return armed() ? sim_.WhenOf(node_) : kTimeInfinite;
   }
 
  private:
   Simulator& sim_;
-  std::function<void()> callback_;
-  TimerEntry entry_;
-  TimePoint deadline_ = kTimeInfinite;
+  Simulator::Node node_;
 };
 
 }  // namespace mpq::sim

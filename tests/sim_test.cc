@@ -1,10 +1,15 @@
 // Unit tests for the discrete-event simulator and the network model:
-// event ordering, timers, link bandwidth/propagation math, drop-tail
-// queues, random loss, routing, and the Fig. 2 topology builder.
+// event ordering, timers and the one (when, id) queue they share with
+// one-shot events (including the explorer hooks), link bandwidth and
+// propagation math, drop-tail queues, random loss, routing, and the
+// Fig. 2 topology builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -113,6 +118,290 @@ TEST(Timer, ArmedStateTracksLifecycle) {
   EXPECT_EQ(timer.deadline(), 10);
   sim.Run();
   EXPECT_FALSE(timer.armed());
+}
+
+// ---------------------------------------------------------------------------
+// One event queue: Timers and one-shot events share the (when, id) order.
+
+TEST(SimulatorQueue, TimersAndScheduledEventsInterleaveById) {
+  Simulator sim;
+  std::vector<int> order;
+  Timer t1(sim, [&] { order.push_back(1); });
+  t1.SetAt(100);  // id 1
+  sim.ScheduleAt(100, [&] { order.push_back(2); });  // id 2
+  Timer t3(sim, [&] { order.push_back(3); });
+  t3.SetAt(100);  // id 3
+  sim.ScheduleAt(50, [&] { order.push_back(0); });  // id 4, earlier time
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(SimulatorQueue, ReArmConsumesOneIdPerArm) {
+  // A timer re-armed n times must consume exactly n ids, which the
+  // byte-identity of digests and qlogs depends on.
+  Simulator sim;
+  Timer timer(sim, [] {});
+  timer.SetAt(10);
+  timer.SetAt(20);
+  timer.SetAt(30);                                  // ids 1, 2, 3
+  const auto id = sim.ScheduleAt(40, [] {});        // must be id 4
+  EXPECT_EQ(id, 4u);
+  sim.Run();
+}
+
+TEST(SimulatorQueue, ReArmFromInsideCallback) {
+  // Classic periodic timer: the callback re-arms its own Timer. The
+  // Simulator dequeues the timer before invoking it, so this must not
+  // corrupt the queue.
+  Simulator sim;
+  int ticks = 0;
+  Timer periodic(sim, [&] {
+    ++ticks;
+    if (ticks < 5) periodic.SetIn(1000);
+  });
+  periodic.SetIn(1000);
+  sim.Run();
+  EXPECT_EQ(ticks, 5);
+  EXPECT_EQ(sim.now(), 5000);
+}
+
+TEST(SimulatorQueue, CancelByEventIdReachesTimer) {
+  Simulator sim;
+  bool fired = false;
+  Timer timer(sim, [&] { fired = true; });
+  timer.SetAt(100);
+  // The arm consumed id 1; Simulator::Cancel must find the timer by it.
+  sim.Cancel(1);
+  sim.Run();
+  EXPECT_FALSE(fired);
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(SimulatorQueue, PendingEventsListsTimers) {
+  Simulator sim;
+  Timer timer(sim, [] {});
+  timer.SetAt(500);                                    // id 1
+  sim.ScheduleAt(300, [] {}, EventKind::kDelivery, 7); // id 2
+  const auto pending = sim.PendingEvents();
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].id, 2u);
+  EXPECT_EQ(pending[0].when, 300);
+  EXPECT_EQ(pending[0].kind, EventKind::kDelivery);
+  EXPECT_EQ(pending[0].scope, 7u);
+  EXPECT_EQ(pending[1].id, 1u);
+  EXPECT_EQ(pending[1].when, 500);
+  EXPECT_EQ(pending[1].kind, EventKind::kTimer);
+  EXPECT_EQ(pending[1].scope, 0u);
+}
+
+TEST(SimulatorQueue, FireEventOutOfOrderFiresLate) {
+  // Explorer semantics: firing the *later* timer first advances time to
+  // its deadline; the earlier timer then fires "late" at that same time.
+  Simulator sim;
+  std::vector<std::pair<int, TimePoint>> fired;
+  Timer early(sim, [&] { fired.push_back({1, sim.now()}); });
+  Timer late(sim, [&] { fired.push_back({2, sim.now()}); });
+  early.SetAt(100);  // id 1
+  late.SetAt(900);   // id 2
+  ASSERT_TRUE(sim.FireEvent(2));
+  ASSERT_TRUE(sim.FireEvent(1));
+  EXPECT_EQ(fired, (std::vector<std::pair<int, TimePoint>>{{2, 900},
+                                                           {1, 900}}));
+  EXPECT_TRUE(sim.empty());
+  // Unknown ids are rejected.
+  EXPECT_FALSE(sim.FireEvent(99));
+}
+
+TEST(SimulatorQueue, DuplicateEventClonesTimer) {
+  Simulator sim;
+  int fires = 0;
+  Timer timer(sim, [&] { ++fires; });
+  timer.SetAt(100);  // id 1
+  const auto copy = sim.DuplicateEvent(1, 50);
+  EXPECT_NE(copy, 0u);
+  sim.Run();
+  // Original at 100 and the clone at 150 both invoke the callback.
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(sim.now(), 150);
+}
+
+TEST(SimulatorQueue, TimerDeadlineTracksArmState) {
+  Simulator sim;
+  Timer timer(sim, [] {});
+  EXPECT_EQ(timer.deadline(), kTimeInfinite);
+  timer.SetAt(250);
+  EXPECT_TRUE(timer.armed());
+  EXPECT_EQ(timer.deadline(), 250);
+  sim.Run();
+  // After firing the timer reports disarmed/infinite.
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(timer.deadline(), kTimeInfinite);
+  timer.SetIn(100);
+  timer.Cancel();
+  EXPECT_EQ(timer.deadline(), kTimeInfinite);
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(SimulatorQueue, ManyTimersFireInDeadlineOrder) {
+  // Hundreds of timers with deadlines spread over five decades fire in
+  // exact deadline order under Run().
+  Simulator sim;
+  Rng rng(42);
+  std::vector<std::unique_ptr<Timer>> timers;
+  std::vector<TimePoint> fired;
+  std::vector<TimePoint> expected;
+  for (int i = 0; i < 400; ++i) {
+    const auto when =
+        static_cast<TimePoint>(rng.NextU64() % 100'000'000);  // up to 100 s
+    expected.push_back(when);
+    timers.push_back(std::make_unique<Timer>(
+        sim, [&fired, &sim] { fired.push_back(sim.now()); }));
+    timers.back()->SetAt(when);
+  }
+  sim.Run();
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(fired, expected);
+}
+
+TEST(SimulatorQueue, DestroyingArmedTimerRemovesItFromQueue) {
+  // Timers destroyed while armed leave the queue; everything else still
+  // fires in (when, id) order.
+  Simulator sim;
+  std::vector<int> fired;
+  std::vector<std::unique_ptr<Timer>> timers;
+  for (int i = 0; i < 40; ++i) {
+    timers.push_back(
+        std::make_unique<Timer>(sim, [&fired, i] { fired.push_back(i); }));
+    timers.back()->SetAt(1000 - 25 * (i % 8));  // ids 1..40, 8 deadlines
+  }
+  sim.ScheduleAt(900, [&fired] { fired.push_back(100); });  // id 41
+  for (int i = 0; i < 40; i += 3) timers[static_cast<std::size_t>(i)].reset();
+  EXPECT_EQ(sim.PendingEvents().size(), 40u - 14u + 1u);
+
+  std::vector<std::pair<TimePoint, int>> expected = {{900, 100}};
+  for (int i = 0; i < 40; ++i) {
+    if (i % 3 != 0) expected.push_back({1000 - 25 * (i % 8), i});
+  }
+  // Equal deadlines fire by id, and timer i was armed with id i + 1.
+  std::sort(expected.begin(), expected.end());
+  sim.Run();
+  std::vector<int> want;
+  for (const auto& [when, tag] : expected) want.push_back(tag);
+  EXPECT_EQ(fired, want);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(SimulatorQueue, TimerMayOutliveItsSimulator) {
+  auto sim = std::make_unique<Simulator>();
+  Timer timer(*sim, [] {});
+  timer.SetAt(100);
+  sim.reset();
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(SimulatorProperty, TimersMatchNaiveReferenceUnderRandomOps) {
+  // Random arm / re-arm earlier / re-arm later / cancel over 64 Timers,
+  // mixed with one-shot ScheduleAt events, Cancel(id) and RunOne, against
+  // a naive "scan everything" (when, id) reference. Deadlines reach
+  // 2^36 us.
+  constexpr int kTimers = 64;
+  constexpr int kOps = 4000;
+  Rng rng(0xABCDEF);
+  Simulator sim;
+  int fired = -1;
+  std::vector<std::unique_ptr<Timer>> timers;
+  for (int i = 0; i < kTimers; ++i) {
+    timers.push_back(std::make_unique<Timer>(sim, [&fired, i] { fired = i; }));
+  }
+  struct Ref {
+    TimePoint when;
+    Simulator::EventId id;
+    int tag;  // timer index, or kTimers + n for the n-th one-shot
+  };
+  std::vector<Ref> pending;
+  std::vector<Simulator::EventId> issued;
+  Simulator::EventId next_id = 1;
+  int one_shots = 0;
+
+  auto drop_tag = [&pending](int tag) {
+    std::erase_if(pending, [tag](const Ref& r) { return r.tag == tag; });
+  };
+  auto earliest = [&pending]() {
+    return std::min_element(pending.begin(), pending.end(),
+                            [](const Ref& a, const Ref& b) {
+                              return a.when != b.when ? a.when < b.when
+                                                      : a.id < b.id;
+                            });
+  };
+  auto random_span = [&rng]() {
+    const int shift = static_cast<int>(rng.NextU64() % 36);
+    return static_cast<Duration>(rng.NextU64() & ((1ULL << shift) | 0xFF));
+  };
+
+  for (int op = 0; op < kOps; ++op) {
+    const std::uint64_t pick = rng.NextU64() % 100;
+    const int i = static_cast<int>(rng.NextU64() % kTimers);
+    Timer& timer = *timers[static_cast<std::size_t>(i)];
+    if (pick < 40) {
+      // Arm, or re-arm earlier / later than the current deadline.
+      TimePoint when = sim.now() + random_span();
+      if (timer.armed() && pick < 15) {
+        when = sim.now() + (timer.deadline() - sim.now()) / 2;
+      } else if (timer.armed() && pick < 25) {
+        when = timer.deadline() + random_span();
+      }
+      timer.SetAt(when);
+      drop_tag(i);
+      pending.push_back({when, next_id, i});
+      issued.push_back(next_id++);
+    } else if (pick < 50) {
+      timer.Cancel();
+      drop_tag(i);
+    } else if (pick < 65) {
+      const TimePoint when = sim.now() + random_span();
+      const int tag = kTimers + one_shots++;
+      const auto id = sim.ScheduleAt(when, [&fired, tag] { fired = tag; });
+      ASSERT_EQ(id, next_id);
+      pending.push_back({when, next_id, tag});
+      issued.push_back(next_id++);
+    } else if (pick < 75) {
+      // Cancel by id: a pending timer or one-shot, or a spent id (no-op).
+      const auto id = issued[rng.NextU64() % issued.size()];
+      sim.Cancel(id);
+      std::erase_if(pending, [id](const Ref& r) { return r.id == id; });
+    } else {
+      const bool ran = sim.RunOne();
+      if (pending.empty()) {
+        EXPECT_FALSE(ran);
+        continue;
+      }
+      ASSERT_TRUE(ran);
+      const auto want = earliest();
+      EXPECT_EQ(fired, want->tag);
+      EXPECT_EQ(sim.now(), want->when);
+      pending.erase(want);
+    }
+    ASSERT_EQ(sim.PendingEvents().size(), pending.size()) << "op " << op;
+    for (int t = 0; t < kTimers; ++t) {
+      const bool armed = std::any_of(pending.begin(), pending.end(),
+                                     [t](const Ref& r) { return r.tag == t; });
+      ASSERT_EQ(timers[static_cast<std::size_t>(t)]->armed(), armed)
+          << "op " << op << " timer " << t;
+    }
+  }
+  // The snapshot and the drain both follow the reference order.
+  std::sort(pending.begin(), pending.end(), [](const Ref& a, const Ref& b) {
+    return a.when != b.when ? a.when < b.when : a.id < b.id;
+  });
+  const auto snapshot = sim.PendingEvents();
+  ASSERT_EQ(snapshot.size(), pending.size());
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    EXPECT_EQ(snapshot[k].id, pending[k].id);
+    EXPECT_EQ(snapshot[k].when, pending[k].when);
+    ASSERT_TRUE(sim.RunOne());
+    EXPECT_EQ(fired, pending[k].tag);
+  }
+  EXPECT_TRUE(sim.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
 #include "harness/workload.h"
 #include "quic/endpoint.h"
 #include "quic/server.h"
@@ -102,6 +103,20 @@ TEST(RunWorkload, SmallFleetCompletes) {
     EXPECT_GT(flow.fct, 0);
     EXPECT_GT(flow.goodput_mbps, 0.0);
   }
+}
+
+TEST(RunWorkload, FctPercentilesAreExactOverCompletedFlows) {
+  // The fleet FCT percentiles come from the exact per-flow FCTs, not
+  // from the log-linear histogram's bucket midpoints.
+  const WorkloadResult result = RunWorkload(SmallOptions());
+  std::vector<double> fcts;
+  for (const FlowResult& flow : result.flows) {
+    if (flow.completed) fcts.push_back(static_cast<double>(flow.fct));
+  }
+  ASSERT_FALSE(fcts.empty());
+  EXPECT_DOUBLE_EQ(result.fct_p50_us, Percentile(fcts, 50.0));
+  EXPECT_DOUBLE_EQ(result.fct_p99_us, Percentile(fcts, 99.0));
+  EXPECT_DOUBLE_EQ(result.fct_p999_us, Percentile(fcts, 99.9));
 }
 
 TEST(RunWorkload, MultipathFleetCompletes) {
